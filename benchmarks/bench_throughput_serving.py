@@ -126,7 +126,6 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
         "n_packets": serving_setup["workload"].n_packets,
         "max_batch": MAX_BATCH,
         "cpu_count": cpu_count,
-        "threads": nnb.num_threads(),
         "backend": nnb.active_backend().describe(),
         "sequential": sequential.as_dict(),
         "batched": {

@@ -39,7 +39,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -99,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="shard rollout collection across this many worker processes "
         "(0 = in-process; n_envs must divide evenly)",
-    )
-    attack.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="double-buffer sharded collection: overlap each PPO update with "
-        "the next collect (requires --workers)",
     )
     attack.add_argument(
         "--transport",
@@ -262,10 +255,8 @@ def _maybe_start_telemetry(args: argparse.Namespace) -> None:
 
 
 def _command_attack(args: argparse.Namespace) -> int:
-    if args.pipeline and not args.workers:
-        # Fail fast on the argument error, before the dataset build.
-        raise SystemExit("--pipeline requires --workers (double-buffered sharded collection)")
     if args.transport and not args.workers:
+        # Fail fast on the argument error, before the dataset build.
         raise SystemExit("--transport requires --workers (it places worker processes)")
     _maybe_start_telemetry(args)
     data = prepare_experiment_data(
@@ -282,7 +273,6 @@ def _command_attack(args: argparse.Namespace) -> int:
         total_timesteps=args.timesteps,
         rng=args.seed + 2,
         workers=args.workers or None,
-        pipeline=True if args.pipeline else None,
         transport=args.transport,
     )
     report = agent.evaluate(data.splits.test.censored_flows[: args.eval_flows])
@@ -485,7 +475,7 @@ def _telemetry_serve_workload(seed: int) -> None:
 
 
 def _command_backends(_: argparse.Namespace) -> int:
-    """Execution-backend diagnostic: kernels, threads, fallback reasons.
+    """Execution-backend diagnostic: kernels and fallback reasons.
 
     This is the operational surface for the one-time einsum-fallback warning:
     when the compiled kernel (or the fused-cell kernel) failed to build, the
@@ -497,11 +487,9 @@ def _command_backends(_: argparse.Namespace) -> int:
     print(f"registered backends: {', '.join(nn_backend.available_backends())}")
     print(f"default backend:     {nn_backend.default_backend().name}")
     print(f"active backend:      {active.name}")
-    print(f"threads:             {nn_backend.num_threads()} "
-          f"(REPRO_NN_THREADS; cpu_count={os.cpu_count()})")
 
     if nn_backend.compiled_kernel_available():
-        print("rc-GEMM kernel:      compiled (threaded row-partitioned C extension)")
+        print("rc-GEMM kernel:      compiled (row-consistent C extension)")
     else:
         print("rc-GEMM kernel:      einsum fallback (row-consistent, slower)")
         error = nn_backend.compiled_kernel_error()

@@ -209,10 +209,8 @@ class ShardRunner:
             recorded_actions = np.stack([info["recorded_action"] for info in infos])
             self._states = self._tracker.step(recorded_actions, observations, tick_dones)
 
-        # Bootstrap values for GAE, computed with the *collection-time*
-        # critic: under pipelined (double-buffered) collection the driver's
-        # critic may already be one update ahead by the time this segment is
-        # merged, and the rollout's per-step values came from these weights.
+        # Bootstrap values for GAE, computed with the same critic weights
+        # that produced the rollout's per-step values.
         final_values = self.critic.value_batch(self._states)
 
         # Worker-side counters, folded across the fork boundary by the

@@ -7,7 +7,7 @@ whole repository — each output row of ``X @ W`` accumulates over the reduction
 axis in strictly increasing ``k`` order with a separate multiply and add per
 term, so the ``i``-th row of a batched forward is bit-identical to a
 single-row forward.  Every equivalence tier (batched vs. sequential rollout,
-sharded collection, pipelined iteration 0, batched serving vs. ``max_batch=1``)
+sharded collection, batched serving vs. ``max_batch=1``)
 rests on that property.  It is also the slowest matmul in the codebase: numpy's
 einsum kernel is unblocked and unvectorised compared to what the contract
 actually permits.
@@ -37,14 +37,10 @@ Three backends ship by default:
     per-element order as the reference — the GEMM k-loop is unrolled four
     wide with explicit sequential adds and compiled with
     ``-ffp-contract=off``, so no fused-multiply-add or reassociation can
-    change a single bit.  The GEMM can additionally be partitioned over
-    *output rows* across a persistent pthread worker pool (``REPRO_NN_THREADS``
-    / :func:`set_num_threads`): each row's accumulation order is untouched,
-    so the result stays bitwise identical to the reference at any thread
-    count.  The fused GRU/LSTM gate kernels are *hybrid*: the compiled code
-    performs only exact IEEE arithmetic (adds, multiplies, divides,
-    negation), while the transcendental ``exp`` / ``tanh`` evaluations stay
-    in numpy — numpy's SIMD ``exp``/``tanh`` differ from C ``libm`` in the
+    change a single bit.  The fused GRU/LSTM gate kernels are *hybrid*: the
+    compiled code performs only exact IEEE arithmetic (adds, multiplies,
+    divides, negation), while the transcendental ``exp`` / ``tanh``
+    evaluations stay in numpy — numpy's SIMD ``exp``/``tanh`` differ from C ``libm`` in the
     last ulp, but are value-deterministic (same input bits → same output
     bits regardless of memory layout or batching), so splitting the work
     this way is bit-identical to the pure-numpy oracle by construction.
@@ -70,12 +66,9 @@ Selection API::
     with nn.use_backend("float32"):          # scoped override
         server.flush()
     nn.active_backend().name                 # introspection
-    nn.set_num_threads(4)                    # threaded blocked GEMM
 
 The ``REPRO_NN_BACKEND`` environment variable overrides the initial default
-(useful for CI A/B runs); ``REPRO_NN_THREADS`` sets the initial GEMM thread
-count (``1`` by default so CI stays deterministic-cheap; ``auto`` or ``0``
-means ``os.cpu_count()``); ``REPRO_NN_KERNEL_CACHE`` relocates the compiled
+(useful for CI A/B runs); ``REPRO_NN_KERNEL_CACHE`` relocates the compiled
 kernel cache (default: a ``repro-amoeba-kernels`` directory under the user
 cache dir, falling back to the system temp dir).
 """
@@ -115,8 +108,6 @@ __all__ = [
     "compiled_kernel_error",
     "fused_cells_available",
     "fused_cells_error",
-    "num_threads",
-    "set_num_threads",
 ]
 
 
@@ -136,14 +127,6 @@ __all__ = [
 # any multiply/add pair.  Auto-vectorisation is safe because SIMD lanes run
 # across the *output* axis ``h``; the per-element reduction order is untouched.
 #
-# Threading contract: the threaded entry point partitions the *output rows*
-# across a detached worker pool.  Each row is still computed by exactly one
-# thread with the identical scalar loop, so the bits cannot depend on the
-# thread count; only the wall clock does.  The pool is fork-safe: a
-# ``pthread_atfork`` child handler resets the pool bookkeeping so a forked
-# worker (the ``repro.distrib`` tier forks collection workers) re-spawns its
-# own threads on first threaded call instead of waiting on ghosts.
-#
 # Gate kernels: the fused GRU/LSTM phase kernels below perform only exact
 # IEEE-754 arithmetic (negate / add / multiply / divide).  The transcendental
 # exp/tanh evaluations deliberately stay in numpy on the Python side (see
@@ -158,7 +141,6 @@ _KERNEL_SOURCE = r"""
 #include <Python.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
-#include <pthread.h>
 
 /* ------------------------------------------------------------------ */
 /* Row-consistent f64 GEMM, bit-identical to np.einsum("ik,kh->ih"):  */
@@ -166,9 +148,9 @@ _KERNEL_SOURCE = r"""
 /* separate multiply and add per term (no FMA; see build flags).      */
 /* ------------------------------------------------------------------ */
 static void rc_gemm_rows(const double *restrict a, const double *restrict b,
-                         double *restrict out, npy_intp row_start,
-                         npy_intp row_stop, npy_intp inner, npy_intp cols) {
-    for (npy_intp i = row_start; i < row_stop; ++i) {
+                         double *restrict out, npy_intp rows, npy_intp inner,
+                         npy_intp cols) {
+    for (npy_intp i = 0; i < rows; ++i) {
         const double *restrict arow = a + i * inner;
         double *restrict orow = out + i * cols;
         for (npy_intp h = 0; h < cols; ++h) orow[h] = 0.0;
@@ -198,125 +180,6 @@ static void rc_gemm_rows(const double *restrict a, const double *restrict b,
 }
 
 /* ------------------------------------------------------------------ */
-/* Persistent worker pool (raw pthreads, no OpenMP).                  */
-/*                                                                    */
-/* Worker w sleeps until rc_has_work[w] is set, copies the job under  */
-/* the lock, computes chunk w+1 (chunk 0 belongs to the caller), and  */
-/* decrements rc_pending.  rc_serial serialises whole threaded calls: */
-/* the GIL is released during compute, so two Python threads could    */
-/* otherwise post concurrent jobs into the shared job struct.         */
-/* ------------------------------------------------------------------ */
-#define RC_MAX_THREADS 16
-
-typedef struct {
-    const double *a;
-    const double *b;
-    double *out;
-    npy_intp inner;
-    npy_intp cols;
-    npy_intp start[RC_MAX_THREADS];
-    npy_intp stop[RC_MAX_THREADS];
-} rc_job_t;
-
-static pthread_mutex_t rc_serial = PTHREAD_MUTEX_INITIALIZER;
-static pthread_mutex_t rc_lock = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t rc_wake = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t rc_done = PTHREAD_COND_INITIALIZER;
-static rc_job_t rc_job;
-static unsigned char rc_has_work[RC_MAX_THREADS];
-static int rc_spawned = 0;
-static int rc_pending = 0;
-static int rc_atfork_registered = 0;
-
-static void *rc_worker_main(void *arg) {
-    int index = (int)(npy_intp)arg;
-    pthread_mutex_lock(&rc_lock);
-    for (;;) {
-        while (!rc_has_work[index]) pthread_cond_wait(&rc_wake, &rc_lock);
-        rc_has_work[index] = 0;
-        rc_job_t job = rc_job;
-        pthread_mutex_unlock(&rc_lock);
-        rc_gemm_rows(job.a, job.b, job.out, job.start[index + 1],
-                     job.stop[index + 1], job.inner, job.cols);
-        pthread_mutex_lock(&rc_lock);
-        if (--rc_pending == 0) pthread_cond_signal(&rc_done);
-    }
-    return NULL;
-}
-
-/* Must be called with rc_lock held; returns the live worker count. */
-static int rc_ensure_workers(int needed) {
-    while (rc_spawned < needed && rc_spawned < RC_MAX_THREADS - 1) {
-        pthread_t tid;
-        if (pthread_create(&tid, NULL, rc_worker_main,
-                           (void *)(npy_intp)rc_spawned) != 0)
-            break;
-        pthread_detach(tid);
-        ++rc_spawned;
-    }
-    return rc_spawned < needed ? rc_spawned : needed;
-}
-
-static void rc_gemm_threaded(const double *a, const double *b, double *out,
-                             npy_intp rows, npy_intp inner, npy_intp cols,
-                             int threads) {
-    pthread_mutex_lock(&rc_serial);
-    pthread_mutex_lock(&rc_lock);
-    int n_chunks = rc_ensure_workers(threads - 1) + 1;
-    if ((npy_intp)n_chunks > rows) n_chunks = (int)rows;
-    if (n_chunks <= 1) {
-        pthread_mutex_unlock(&rc_lock);
-        rc_gemm_rows(a, b, out, 0, rows, inner, cols);
-        pthread_mutex_unlock(&rc_serial);
-        return;
-    }
-    rc_job.a = a;
-    rc_job.b = b;
-    rc_job.out = out;
-    rc_job.inner = inner;
-    rc_job.cols = cols;
-    npy_intp base = rows / n_chunks, rem = rows % n_chunks, cursor = 0;
-    for (int c = 0; c < n_chunks; ++c) {
-        rc_job.start[c] = cursor;
-        cursor += base + (c < rem ? 1 : 0);
-        rc_job.stop[c] = cursor;
-    }
-    npy_intp start0 = rc_job.start[0], stop0 = rc_job.stop[0];
-    rc_pending = n_chunks - 1;
-    for (int w = 0; w < n_chunks - 1; ++w) rc_has_work[w] = 1;
-    pthread_cond_broadcast(&rc_wake);
-    pthread_mutex_unlock(&rc_lock);
-    rc_gemm_rows(a, b, out, start0, stop0, inner, cols);
-    pthread_mutex_lock(&rc_lock);
-    while (rc_pending > 0) pthread_cond_wait(&rc_done, &rc_lock);
-    pthread_mutex_unlock(&rc_lock);
-    pthread_mutex_unlock(&rc_serial);
-}
-
-/* Fork safety: the repro.distrib tier forks collection/serving workers.
-   A child forked while pool threads exist would otherwise post a job to
-   ghost workers and wait forever. */
-static void rc_atfork_prepare(void) {
-    pthread_mutex_lock(&rc_serial);
-    pthread_mutex_lock(&rc_lock);
-}
-
-static void rc_atfork_parent(void) {
-    pthread_mutex_unlock(&rc_lock);
-    pthread_mutex_unlock(&rc_serial);
-}
-
-static void rc_atfork_child(void) {
-    rc_spawned = 0;
-    rc_pending = 0;
-    for (int i = 0; i < RC_MAX_THREADS; ++i) rc_has_work[i] = 0;
-    pthread_mutex_unlock(&rc_lock);
-    pthread_mutex_unlock(&rc_serial);
-    pthread_cond_init(&rc_wake, NULL);
-    pthread_cond_init(&rc_done, NULL);
-}
-
-/* ------------------------------------------------------------------ */
 /* Argument helpers                                                   */
 /* ------------------------------------------------------------------ */
 static PyArrayObject *rc_as_array(PyObject *obj, int ndim, const char *name) {
@@ -332,12 +195,11 @@ static PyArrayObject *rc_as_array(PyObject *obj, int ndim, const char *name) {
 }
 
 /* ------------------------------------------------------------------ */
-/* GEMM entry point: rc_gemm(a, b[, threads]) -> (m, n) float64       */
+/* GEMM entry point: rc_gemm(a, b) -> (m, n) float64                  */
 /* ------------------------------------------------------------------ */
 static PyObject *py_rc_gemm(PyObject *self, PyObject *args) {
     PyObject *a_obj, *b_obj;
-    int threads = 1;
-    if (!PyArg_ParseTuple(args, "OO|i", &a_obj, &b_obj, &threads)) return NULL;
+    if (!PyArg_ParseTuple(args, "OO", &a_obj, &b_obj)) return NULL;
     PyArrayObject *a = rc_as_array(a_obj, 2, "a");
     if (a == NULL) return NULL;
     PyArrayObject *b = rc_as_array(b_obj, 2, "b");
@@ -359,17 +221,11 @@ static PyObject *py_rc_gemm(PyObject *self, PyObject *args) {
         return NULL;
     }
     npy_intp rows = dims[0], inner = PyArray_DIM(a, 1), cols = dims[1];
-    if (threads < 1) threads = 1;
-    if (threads > RC_MAX_THREADS) threads = RC_MAX_THREADS;
-    if ((npy_intp)threads > rows) threads = rows > 0 ? (int)rows : 1;
     const double *ad = (const double *)PyArray_DATA(a);
     const double *bd = (const double *)PyArray_DATA(b);
     double *od = (double *)PyArray_DATA(out);
     Py_BEGIN_ALLOW_THREADS
-    if (threads <= 1)
-        rc_gemm_rows(ad, bd, od, 0, rows, inner, cols);
-    else
-        rc_gemm_threaded(ad, bd, od, rows, inner, cols, threads);
+    rc_gemm_rows(ad, bd, od, rows, inner, cols);
     Py_END_ALLOW_THREADS
     Py_DECREF(a);
     Py_DECREF(b);
@@ -693,8 +549,7 @@ static PyObject *py_lstm_phase2(PyObject *self, PyObject *args) {
 
 static PyMethodDef rc_gemm_methods[] = {
     {"rc_gemm", py_rc_gemm, METH_VARARGS,
-     "Row-consistent f64 GEMM, bit-identical to np.einsum('ik,kh->ih'); "
-     "optional third arg partitions output rows across a pthread pool."},
+     "Row-consistent f64 GEMM, bit-identical to np.einsum('ik,kh->ih')."},
     {"gru_phase1", py_gru_phase1, METH_VARARGS,
      "GRU gate phase 1: -((gx+gh)+b) over the r/z columns."},
     {"gru_phase2", py_gru_phase2, METH_VARARGS,
@@ -712,10 +567,6 @@ static struct PyModuleDef rc_gemm_module = {
 
 PyMODINIT_FUNC PyInit__repro_rc_gemm(void) {
     import_array();
-    if (!rc_atfork_registered) {
-        rc_atfork_registered = 1;
-        pthread_atfork(rc_atfork_prepare, rc_atfork_parent, rc_atfork_child);
-    }
     return PyModule_Create(&rc_gemm_module);
 }
 """
@@ -724,7 +575,6 @@ _BASE_CFLAGS = [
     "-O3",
     "-ffp-contract=off",
     "-fno-math-errno",
-    "-pthread",
     "-shared",
     "-fPIC",
 ]
@@ -733,64 +583,6 @@ _BASE_CFLAGS = [
 _UNSET = object()
 _KERNEL = _UNSET
 _KERNEL_ERROR: Optional[str] = None
-
-
-# --------------------------------------------------------------------------- #
-# GEMM thread-count policy
-# --------------------------------------------------------------------------- #
-# Threading never changes bits (each output row is computed by exactly one
-# thread with the identical scalar loop), so the thread count is pure clock
-# policy.  It defaults to 1: CI machines are often single-core and the
-# fork-heavy distrib tier should not spawn pools it never uses.  Small
-# operands stay single-threaded regardless — below ~32k flops the wakeup
-# latency exceeds the compute.
-_THREAD_MIN_WORK = 1 << 15
-
-
-def _parse_threads(raw: Optional[str]) -> int:
-    if raw is None or str(raw).strip() == "":
-        return 1
-    text = str(raw).strip().lower()
-    if text in {"auto", "0"}:
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_NN_THREADS={raw!r} is not an integer or 'auto'; using 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    if value < 0:
-        warnings.warn(
-            f"REPRO_NN_THREADS={raw!r} is negative; using 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return max(1, value)
-
-
-_THREADS = _parse_threads(os.environ.get("REPRO_NN_THREADS"))
-
-
-def num_threads() -> int:
-    """The thread count the blocked GEMM will use for large operands."""
-    return _THREADS
-
-
-def set_num_threads(count: int) -> int:
-    """Set the blocked-GEMM thread count (clamped to >= 1); returns it.
-
-    Bits are invariant to this setting — only wall-clock changes.  The C
-    pool lazily spawns workers up to ``count - 1`` on the first large
-    threaded call; setting it back to 1 stops dispatching to them (idle
-    workers cost nothing but a blocked futex).
-    """
-    global _THREADS
-    _THREADS = max(1, int(count))
-    return _THREADS
 
 
 def _cache_dir() -> str:
@@ -868,8 +660,7 @@ def _self_check(kernel) -> None:
 
     Cheap insurance against a miscompiled or mis-flagged build: a handful of
     shapes covering the unroll boundary (k % 4 ∈ {0, 1, 2, 3}), single rows,
-    and empty reductions — each checked single-threaded and through the
-    worker pool (including rows < threads).  Raises on the first mismatch.
+    and empty reductions.  Raises on the first mismatch.
     """
     rng = np.random.default_rng(20260807)
     for rows, inner, cols in [(1, 5, 3), (3, 4, 7), (8, 134, 64), (5, 7, 2), (2, 0, 4)]:
@@ -882,13 +673,6 @@ def _self_check(kernel) -> None:
                 f"compiled rc_gemm diverges from reference einsum at shape "
                 f"({rows}, {inner}) @ ({inner}, {cols})"
             )
-        for threads in (2, 4):
-            got_threaded = kernel.rc_gemm(a, b, threads)
-            if not np.array_equal(got_threaded, expected):
-                raise RuntimeError(
-                    f"threaded rc_gemm (threads={threads}) diverges from the "
-                    f"reference einsum at shape ({rows}, {inner}) @ ({inner}, {cols})"
-                )
 
 
 def _ensure_kernel():
@@ -1172,7 +956,6 @@ def _obs_instruments() -> Dict[str, object]:
             generation=registry.generation,
             gemm_compiled=registry.histogram("nn.gemm_ms", kernel="compiled"),
             gemm_einsum=registry.histogram("nn.gemm_ms", kernel="einsum"),
-            gemm_threads=registry.histogram("nn.gemm_threads"),
             cell_gru=registry.histogram("nn.cell_ms", cell="gru"),
             cell_lstm=registry.histogram("nn.cell_ms", cell="lstm"),
         )
@@ -1218,10 +1001,8 @@ class BlockedBackend(ExecutionBackend):
     """Compiled kernel pack, bit-identical to the reference paths.
 
     Dispatches the matmul to the runtime-compiled extension when available
-    and verified (see :func:`compiled_kernel_available`) — partitioned over
-    output rows across the pthread pool when :func:`num_threads` > 1 and the
-    operand is large enough to amortise the wakeup — and the recurrent gate
-    math to the hybrid compiled pipelines when they passed their own
+    and verified (see :func:`compiled_kernel_available`), and the recurrent
+    gate math to the hybrid compiled pipelines when they passed their own
     self-check (:func:`fused_cells_available`).  Because every fast path
     produces identical bits to its oracle, the dispatch points are invisible
     to all numerical contracts — only the clock changes.
@@ -1239,45 +1020,25 @@ class BlockedBackend(ExecutionBackend):
         kernel = _ensure_kernel()
         if kernel is None:
             return np.einsum("ik,kh->ih", a, b)
-        threads = _THREADS
-        if (
-            threads > 1
-            and a.shape[0] > 1
-            and a.shape[0] * a.shape[1] * b.shape[1] >= _THREAD_MIN_WORK
-        ):
-            return kernel.rc_gemm(a, b, threads)
         return kernel.rc_gemm(a, b)
 
     def _matmul2d_timed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Enabled-telemetry twin of :meth:`matmul2d` — same dispatch, plus a
-        ``nn.gemm_ms`` timer and a ``nn.gemm_threads`` occupancy histogram
-        (stride-sampled; see ``_OBS_STRIDE``).
+        ``nn.gemm_ms`` timer (stride-sampled; see ``_OBS_STRIDE``).
 
         Timing wraps the identical kernel calls (telemetry reads clocks
         only), so results stay bit-identical to the untimed path.
         """
         instruments = _obs_instruments()
         kernel = _ensure_kernel()
-        pool_threads = 1
         t0 = time.perf_counter()
         if kernel is None:
             out = np.einsum("ik,kh->ih", a, b)
             gemm_hist = instruments["gemm_einsum"]
         else:
+            out = kernel.rc_gemm(a, b)
             gemm_hist = instruments["gemm_compiled"]
-            threads = _THREADS
-            if (
-                threads > 1
-                and a.shape[0] > 1
-                and a.shape[0] * a.shape[1] * b.shape[1] >= _THREAD_MIN_WORK
-            ):
-                pool_threads = threads
-                out = kernel.rc_gemm(a, b, threads)
-            else:
-                out = kernel.rc_gemm(a, b)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        gemm_hist.observe(elapsed_ms)
-        instruments["gemm_threads"].observe(pool_threads)
+        gemm_hist.observe((time.perf_counter() - t0) * 1000.0)
         return out
 
     def gru_gates(
@@ -1336,7 +1097,6 @@ class BlockedBackend(ExecutionBackend):
             "compiled" if fused_cells_available() else "numpy-fallback"
         )
         payload["fused_cells_error"] = fused_cells_error()
-        payload["threads"] = num_threads()
         payload["cpu_count"] = os.cpu_count()
         return payload
 

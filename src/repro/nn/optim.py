@@ -5,11 +5,11 @@ with learning rate 5e-4 is the selected configuration for Amoeba.
 
 Allocation discipline
 ---------------------
-The PPO update phase sits on the pipeline's critical path (BENCH_pipeline),
-and an optimizer step runs once per minibatch per epoch.  Each optimizer
-therefore preallocates two scratch buffers per parameter at construction and
-performs the entire update with in-place ufuncs — zero allocations per step,
-and ``param.data`` is mutated in place rather than rebound to a fresh array.
+An optimizer step runs once per minibatch per epoch of every PPO update.
+Each optimizer therefore preallocates two scratch buffers per parameter at
+construction and performs the entire update with in-place ufuncs — zero
+allocations per step, and ``param.data`` is mutated in place rather than
+rebound to a fresh array.
 The in-place step applies *exactly* the same sequence of rounded floating
 point operations as the textbook allocating formulation (asserted bitwise in
 ``tests/test_nn_backend.py``), so switching it on cannot perturb a single

@@ -14,8 +14,7 @@ Instruments are created on first use and returned by identity afterwards,
 so hot paths can capture the instrument once and call ``inc``/``observe``
 without a registry lookup per event.  Creation is guarded by a lock; the
 record operations themselves are single bytecode-level float updates, which
-is sufficient for this codebase's one-recording-thread-per-process model
-(the compiled GEMM worker threads never touch the registry).
+is sufficient for this codebase's one-recording-thread-per-process model.
 
 Naming scheme (documented in the README "Telemetry" section): dotted
 ``tier.component.metric`` names — ``serve.flush_size``,
@@ -36,7 +35,7 @@ LabelsKey = Tuple[Tuple[str, str], ...]
 # Default histogram geometry: first finite upper edge 1e-3, doubling per
 # bucket, 36 finite buckets (+1 overflow) -> upper edges 1e-3 .. ~3.4e7.
 # In milliseconds that spans 1 microsecond to ~9.5 hours; as a dimensionless
-# scale it covers every batch size / thread count this repo produces.
+# scale it covers every batch size this repo produces.
 DEFAULT_LO = 1e-3
 DEFAULT_GROWTH = 2.0
 DEFAULT_N_BUCKETS = 36

@@ -26,11 +26,6 @@ class TestParser:
     def test_attack_workers_flag(self):
         args = build_parser().parse_args(["attack", "--workers", "2"])
         assert args.workers == 2
-        assert not args.pipeline  # double-buffering is opt-in
-
-    def test_attack_pipeline_flag(self):
-        args = build_parser().parse_args(["attack", "--workers", "2", "--pipeline"])
-        assert args.pipeline
 
     def test_invalid_censor_rejected(self):
         with pytest.raises(SystemExit):
@@ -158,8 +153,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "decisions_per_s" in out and "fallback_rate" in out
 
-    def test_attack_pipeline_requires_workers(self):
-        with pytest.raises(SystemExit, match="--pipeline requires --workers"):
+    def test_attack_transport_requires_workers(self):
+        with pytest.raises(SystemExit, match="--transport requires --workers"):
             main(
                 [
                     "attack",
@@ -171,7 +166,8 @@ class TestCommands:
                     "16",
                     "--timesteps",
                     "150",
-                    "--pipeline",
+                    "--transport",
+                    "tcp",
                 ]
             )
 
@@ -180,7 +176,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "registered backends:" in out
         assert "blocked" in out and "reference" in out and "float32" in out
-        assert "threads:" in out
         assert "rc-GEMM kernel:" in out
         assert "fused-cell kernels:" in out
         # One describe() line per registered backend.
@@ -204,27 +199,3 @@ class TestCommands:
         assert "cc1: fatal error: boom" in out
         assert "numpy fallback" in out
         assert "gates: boom" in out
-
-    def test_attack_command_pipelined(self, capsys):
-        code = main(
-            [
-                "attack",
-                "--dataset",
-                "tor",
-                "--flows",
-                "30",
-                "--max-packets",
-                "16",
-                "--censor",
-                "DT",
-                "--timesteps",
-                "300",
-                "--eval-flows",
-                "3",
-                "--workers",
-                "2",
-                "--pipeline",
-            ]
-        )
-        assert code == 0
-        assert "asr" in capsys.readouterr().out

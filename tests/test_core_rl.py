@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.core import (
+    Amoeba,
     AmoebaConfig,
     Critic,
     GaussianActor,
@@ -208,3 +209,96 @@ class TestPPOUpdater:
             for before, after in zip(weights_before, actor.parameters())
         )
         assert changed
+
+
+ROLLOUT_LENGTH = 8
+N_ENVS = 4
+TRAIN_RECORD_KEYS = ("timesteps", "train_asr", "mean_reward", "policy_loss", "value_loss", "entropy")
+
+
+@pytest.fixture(scope="module")
+def agent_setup(trained_dt_censor, normalizer, tor_splits):
+    config = AmoebaConfig.for_tor(
+        n_envs=N_ENVS,
+        rollout_length=ROLLOUT_LENGTH,
+        max_episode_steps=20,
+        encoder_hidden=8,
+        actor_hidden=(16,),
+        critic_hidden=(16,),
+        reward_mask_rate=0.3,
+    )
+    return dict(
+        censor=trained_dt_censor,
+        normalizer=normalizer,
+        config=config,
+        flows=tor_splits.attack_train.censored_flows,
+    )
+
+
+def fresh_agent(setup, rng=42) -> Amoeba:
+    return Amoeba(
+        setup["censor"],
+        setup["normalizer"],
+        setup["config"],
+        rng=rng,
+        encoder_pretrain_kwargs=dict(n_flows=20, max_length=10, epochs=1),
+    )
+
+
+class TestEvalRngIsolation:
+    """Evaluation must never advance the training RNG (`self._rng`)."""
+
+    def _train_records(self, record):
+        return {key: record[key] for key in TRAIN_RECORD_KEYS}
+
+    def _run(self, setup, eval_every, rounds=2):
+        agent = fresh_agent(setup, rng=7)
+        eval_kwargs = {}
+        if eval_every is not None:
+            eval_kwargs = dict(
+                eval_flows=setup["flows"][:2],
+                eval_every=eval_every,
+                eval_size=2,
+            )
+        records = []
+        for _ in range(rounds):
+            agent.train(
+                setup["flows"],
+                total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+                callback=records.append,
+                **eval_kwargs,
+            )
+        params = [p.data.copy() for p in agent.actor.parameters()]
+        return [self._train_records(record) for record in records], params
+
+    def test_training_invariant_to_eval_cadence(self, agent_setup):
+        """Two consecutive train() calls: the second one's seed tree (drawn
+        from self._rng) must be identical whether or not the first call ran
+        mid-training evaluations."""
+        no_eval_records, no_eval_params = self._run(agent_setup, eval_every=None)
+        eval_records, eval_params = self._run(agent_setup, eval_every=1)
+        assert eval_records == no_eval_records
+        for expected, actual in zip(no_eval_params, eval_params):
+            assert np.array_equal(expected, actual)
+
+    def test_standalone_evaluate_does_not_shift_later_training(self, agent_setup):
+        plain_records, plain_params = self._run(agent_setup, eval_every=None)
+
+        agent = fresh_agent(agent_setup, rng=7)
+        records = []
+        agent.train(
+            agent_setup["flows"],
+            total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+            callback=records.append,
+        )
+        agent.evaluate(agent_setup["flows"][:3])
+        agent.train(
+            agent_setup["flows"],
+            total_timesteps=ROLLOUT_LENGTH * N_ENVS,
+            callback=records.append,
+        )
+        assert [self._train_records(record) for record in records] == plain_records
+        for expected, actual in zip(
+            plain_params, [p.data.copy() for p in agent.actor.parameters()]
+        ):
+            assert np.array_equal(expected, actual)

@@ -272,10 +272,29 @@ class TestArmsRaceIntegration:
         assert 0.0 <= result.rounds[0].attack_success_rate <= 1.0
 
 
+def _echo_factory(index):
+    class Echo:
+        def load_weights(self, payload):
+            self.payload = payload
+
+    return Echo()
+
+
 class TestEngineValidation:
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
             ShardedRolloutEngine(lambda index: None, 0)
+
+    def test_rejects_nonpositive_collect_length(self):
+        engine = ShardedRolloutEngine(_echo_factory, 1)
+        try:
+            with pytest.raises(ValueError, match="n_ticks"):
+                engine.collect(0)
+            # A rejected collect is never logged or sent: the engine is usable.
+            assert engine._log == []
+            engine.broadcast(b"weights")
+        finally:
+            engine.close()
 
     def test_worker_error_is_raised_not_retried(self):
         def factory(index):
@@ -294,6 +313,37 @@ class TestEngineValidation:
             assert engine.restarts_performed == 0
         finally:
             engine.close()
+
+    def test_failed_drain_marks_engine_broken(self):
+        """A deterministic worker error during a collect surfaces from
+        collect(); afterwards the engine fails fast instead of blocking on
+        replies that were already consumed, and close() skips the handshake."""
+
+        def factory(index):
+            class Broken:
+                def load_weights(self, payload):
+                    pass
+
+                def collect(self, n_ticks):
+                    raise RuntimeError("deterministic collect bug")
+
+            return Broken()
+
+        engine = ShardedRolloutEngine(factory, 1)
+        try:
+            engine.broadcast(b"ignored")
+            with pytest.raises(RuntimeError, match="deterministic collect bug"):
+                engine.collect(2)
+            with pytest.raises(RuntimeError, match="broken"):
+                engine.collect(2)
+            with pytest.raises(RuntimeError, match="broken"):
+                engine.broadcast(b"ignored")
+        finally:
+            start = time.monotonic()
+            engine.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 5.0
+        assert not any(process.is_alive() for process in engine.processes)
 
 
 def _sweep_task(params):
