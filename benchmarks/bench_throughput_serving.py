@@ -13,8 +13,6 @@ and writes ``BENCH_serving.json``:
 * **batched** — ``max_batch=16``: the continuous-batching scheduler.  The
   decisions/s win is asserted **strictly** — batching the GEMMs must beat
   one-at-a-time forwards regardless of core count;
-* **sharded** — 2 forked serving workers (recorded, not asserted: on a
-  single-core CI runner pipe overhead eats the parallelism);
 * **float32** — ``backend="float32"``: the end-to-end f32 session path
   (``repro.serve.fastpath``), same batched schedule.  Gate: decisions/s
   **strictly above** the f64 batched path with identical decision counts —
@@ -43,7 +41,6 @@ from repro.core.profiles import ProfileDatabase
 from repro.serve import (
     PolicyServer,
     ServeConfig,
-    ShardedPolicyServer,
     SyntheticWorkload,
     run_workload,
 )
@@ -53,7 +50,6 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 N_SESSIONS = 32
 MAX_PACKETS = 16
 MAX_BATCH = 16
-N_WORKERS = 2
 ENCODER_HIDDEN = 16
 ARRIVAL_RATE = 4000.0
 
@@ -93,16 +89,6 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
     if float32_2.decisions_per_s > float32.decisions_per_s:
         float32 = float32_2
 
-    def sharded_factory(_index: int) -> PolicyServer:
-        return PolicyServer(
-            serving_setup["actor"],
-            serving_setup["encoder"],
-            config=serving_setup["config"].with_overrides(max_batch=MAX_BATCH),
-        )
-
-    with ShardedPolicyServer(sharded_factory, n_workers=N_WORKERS) as sharded_server:
-        sharded = run_workload(sharded_server, serving_setup["workload"])
-
     # Deadline no serving process can meet -> every session demotes to the
     # offline tier once its miss window fills; the fallback payload embeds
     # into a profile database built from the workload's own tor flows.
@@ -141,10 +127,6 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
                 float32.decisions_per_s / batched.decisions_per_s, 2
             ),
         },
-        "sharded": {
-            **sharded.as_dict(),
-            "workers": N_WORKERS,
-        },
         "deadline_fallback": fallback.as_dict(),
     }
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
@@ -160,14 +142,13 @@ def test_continuous_batching_beats_sequential_serving(serving_setup):
         f"  float32 (max_batch={MAX_BATCH}):   {float32.decisions_per_s:9.1f} decisions/s "
         f"(p50 {float32.p50_latency_ms:.3f} ms, p99 {float32.p99_latency_ms:.3f} ms)"
         f"  -> {float32.decisions_per_s / batched.decisions_per_s:.2f}x vs f64 batched\n"
-        f"  sharded ({N_WORKERS} workers):      {sharded.decisions_per_s:9.1f} decisions/s\n"
         f"  deadline fallback: {fallback.profile_fallback_rate:.1%} of sessions demoted "
         f"to the profile tier\n"
         f"  results written to {RESULTS_PATH.name}"
     )
 
     # Every setup must serve the complete workload.
-    assert batched.decisions == sequential.decisions == sharded.decisions
+    assert batched.decisions == sequential.decisions
     # Acceptance: coalescing decisions into batched forwards must be
     # strictly faster than one-session-at-a-time serving.
     assert batched.decisions_per_s > sequential.decisions_per_s, (

@@ -23,7 +23,7 @@ without writing Python:
   loaded, the compile error if they did not, and the thread configuration;
 * ``repro-amoeba worker-host`` — run the TCP worker-host daemon that donates
   this machine's cores to remote drivers (``attack --transport
-  tcp://host:port`` places collection/serving/sweep workers here);
+  tcp://host:port`` places collection/sweep workers here);
 * ``repro-amoeba info`` — print the library version and experiment index.
 
 Examples
@@ -134,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-decision latency budget; repeated misses demote a "
                        "session to the offline profile tier")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="shard sessions across this many serving workers (0 = in-process)")
-    serve.add_argument("--transport", default=None,
-                       help="serving-worker placement: 'fork' (default), 'tcp', or "
-                       "'tcp://host:port[,host:port...]' (requires --workers)")
     serve.add_argument("--backend", choices=("blocked", "reference", "float32"), default=None,
                        help="execution backend for policy forwards (default: process default; "
                        "float32 trades the serve/attack bit-equivalence contract for speed)")
@@ -197,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_host = subparsers.add_parser(
         "worker-host",
         help="run the TCP worker-host daemon: accepts worker connections "
-        "from remote drivers (train/serve/sweep --transport tcp://...)",
+        "from remote drivers (collection and sweep workers, "
+        "e.g. attack --transport tcp://...)",
     )
     worker_host.add_argument(
         "--bind",
@@ -307,12 +303,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .serve import (
         PolicyServer,
         ServeConfig,
-        ShardedPolicyServer,
         SyntheticWorkload,
-        build_policy_from_state,
         run_workload,
     )
-    from .nn.serialization import load_state_dict
 
     _maybe_start_telemetry(args)
     size_scale = 16384.0 if args.dataset == "v2ray" else 1460.0
@@ -337,9 +330,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         profile_db.add_flows(profile_flows)
         print(f"fallback profile database: {len(profile_db)} profiles from {args.profiles}")
 
-    # Load once in the driver; forked workers inherit the weights
-    # copy-on-write instead of re-reading the checkpoint.
-    actor, encoder = build_policy_from_state(load_state_dict(args.policy))
+    server = PolicyServer.from_checkpoint(args.policy, config=config, profile_db=profile_db)
     workload = SyntheticWorkload.generate(
         n_sessions=args.sessions,
         mix=mix,
@@ -347,19 +338,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_packets=args.max_packets,
         rng=args.seed,
     )
-
-    def make_server(_index: int = 0) -> PolicyServer:
-        return PolicyServer(actor, encoder, config=config, profile_db=profile_db)
-
-    if args.transport and not args.workers:
-        raise SystemExit("--transport requires --workers (it places worker processes)")
-    if args.workers:
-        with ShardedPolicyServer(
-            make_server, n_workers=args.workers, transport=args.transport
-        ) as server:
-            report = run_workload(server, workload)
-    else:
-        report = run_workload(make_server(), workload)
+    report = run_workload(server, workload)
 
     print(
         format_table(
@@ -383,8 +362,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 "p99_ms",
                 "fallback_rate",
             ],
-            title=f"Policy serving ({args.dataset}, max_batch={args.max_batch}, "
-            f"workers={args.workers or 'in-process'})",
+            title=f"Policy serving ({args.dataset}, max_batch={args.max_batch})",
         )
     )
     return 0
@@ -515,7 +493,7 @@ def _command_worker_host(args: argparse.Namespace) -> int:
     """Run the TCP worker-host daemon until interrupted.
 
     Each accepted connection is answered by a freshly forked worker process
-    running the requested entrypoint (rollout / serve / sweep); the daemon
+    running the requested entrypoint (rollout / sweep); the daemon
     itself holds no policy or experiment state, so one host serves any
     number of drivers in sequence or in parallel.
     """

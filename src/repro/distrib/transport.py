@@ -1,11 +1,11 @@
 """Transport tier: one command protocol, pluggable worker channels.
 
-Every distributed driver in this codebase — :class:`ShardedRolloutEngine`,
-:class:`SweepOrchestrator`, :class:`ShardedPolicyServer` — speaks the same
-byte-oriented protocol to its workers: framed command tuples out, framed
-reply tuples back, with a broken channel (not an error reply) as the only
-signal that the worker *process* died.  This module factors that protocol
-out of the three drivers into one transport abstraction:
+Both distributed drivers in this codebase — :class:`ShardedRolloutEngine`
+and :class:`SweepOrchestrator` — speak the same byte-oriented protocol to
+their workers: framed command tuples out, framed reply tuples back, with a
+broken channel (not an error reply) as the only signal that the worker
+*process* died.  This module factors that protocol out of the drivers into
+one transport abstraction:
 
 :class:`Transport`
     One connected peer channel.  ``send``/``recv`` move whole pickled
@@ -85,7 +85,6 @@ __all__ = [
     "TRACE_ENVELOPE",
     "traced_message",
     "untraced_message",
-    "register_worker_entrypoint",
 ]
 
 # Raw channel faults, normalised to TransportError by every backend.
@@ -96,8 +95,8 @@ class TransportError(ConnectionError):
     """The peer's channel broke: process death, socket reset, heartbeat loss.
 
     This is the *restartable-fault* signal of the distributed tier —
-    drivers answer it with snapshot-restore + log replay (rollout), task
-    re-queue (sweeps) or a hard surfaced error (serving).  Worker *bugs*
+    drivers answer it with snapshot-restore + log replay (rollout) or task
+    re-queue (sweeps).  Worker *bugs*
     never raise it; they come back as ordinary ``("error", traceback)``
     replies.
     """
@@ -441,7 +440,7 @@ def worker_command_loop(
 
     ``handlers`` maps a command name to ``handler(*payload) -> reply
     tuple``; the message's trailing elements are the payload.  The loop
-    owns everything the three hand-rolled loops used to duplicate:
+    owns everything the per-driver hand-rolled loops used to duplicate:
 
     * a raising handler is answered with ``("error", traceback)`` so the
       driver re-raises it — worker bugs are deterministic, never retried;
@@ -515,16 +514,8 @@ def worker_command_loop(
 # --------------------------------------------------------------------- #
 _WORKER_ENTRYPOINTS: Dict[str, str] = {
     "rollout": "repro.distrib.worker:rollout_worker_entry",
-    "serve": "repro.serve.worker:serve_worker_entry",
     "sweep": "repro.distrib.sweep:sweep_worker_entry",
 }
-
-
-def register_worker_entrypoint(name: str, spec: str) -> None:
-    """Register ``name -> "module:function"`` for worker hosts to resolve."""
-    if ":" not in spec:
-        raise ValueError(f"entrypoint spec {spec!r} must look like 'module:function'")
-    _WORKER_ENTRYPOINTS[name] = spec
 
 
 def resolve_worker_entrypoint(name: str) -> Callable[[Transport, object, int], None]:
@@ -837,7 +828,7 @@ class TcpWorkerPool(WorkerPool):
 # --------------------------------------------------------------------- #
 # Worker host daemon
 # --------------------------------------------------------------------- #
-def _serve_worker_connection(sock: socket.socket) -> None:
+def _run_worker_connection(sock: socket.socket) -> None:
     """Run one accepted connection to completion (inside a forked child)."""
     transport = TcpTransport(sock)
     try:
@@ -928,7 +919,7 @@ class WorkerHostServer:
                             "daemon", None
                         )
                         self._listener.close()
-                        _serve_worker_connection(sock)
+                        _run_worker_connection(sock)
                     except BaseException:
                         exit_code = 1
                     finally:

@@ -117,7 +117,7 @@ _TRACER = Tracer(on_finish=_record_span_duration)
 def enable() -> None:
     """Turn telemetry on process-wide (spans, hot-path histograms).
 
-    Call before forking sharded engines/servers so workers inherit the flag
+    Call before forking sharded engines so workers inherit the flag
     (or set ``REPRO_TELEMETRY=1``, which covers every process).
     """
     _state.enabled = True

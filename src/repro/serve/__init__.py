@@ -8,8 +8,6 @@ flow shaping (the deployment tier of Section 5.6).
   pending decisions across sessions into single batched forwards.
 * :class:`~repro.serve.session.FlowSession` — per-flow emulator state,
   latency/deadline tracking and profile-tier fallback.
-* :class:`~repro.serve.sharded.ShardedPolicyServer` — sessions partitioned
-  across forked serving workers (the ``repro.distrib`` pipe pattern).
 * :mod:`~repro.serve.loadgen` — synthetic Tor/V2Ray/HTTPS packet schedules
   to exercise the tier at a target arrival rate.
 """
@@ -25,7 +23,6 @@ from .session import (
     SessionStatus,
     ShapingDecision,
 )
-from .sharded import ShardedPolicyServer
 
 __all__ = [
     "PolicyServer",
@@ -39,7 +36,6 @@ __all__ = [
     "SessionReport",
     "SessionStatus",
     "ShapingDecision",
-    "ShardedPolicyServer",
     "Float32ServingPath",
     "SyntheticWorkload",
     "PacketEvent",

@@ -24,6 +24,7 @@ when the online path cannot beat the flow's inter-packet-delay budget.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -219,10 +220,11 @@ class FlowSession:
     def enqueue(self, size: float, delay_ms: float) -> None:
         """Accept one original packet for shaping (or profile fallback).
 
-        A zero-size packet is rejected at this ingestion boundary (the sign
-        encodes direction, exactly as in the :class:`~repro.flows.flow.Flow`
-        model); letting one through would arm a payload-less decision that
-        crashes mid-flush and disturbs its batch-mates.
+        Packets the :class:`~repro.flows.flow.Flow` model cannot hold are
+        rejected at this ingestion boundary: a zero size (the sign encodes
+        direction), a non-finite size, and a negative or non-finite delay.
+        Letting one through would arm a decision that crashes mid-flush and
+        stalls its batch-mates, or fails later when the session closes.
         """
         if self.closed:
             raise RuntimeError(f"session {self.session_id!r} is closed")
@@ -230,6 +232,10 @@ class FlowSession:
         delay_ms = float(delay_ms)
         if size == 0.0:
             raise ValueError("packet size must be non-zero (sign encodes direction)")
+        if not math.isfinite(size):
+            raise ValueError(f"packet size must be finite, got {size}")
+        if not (math.isfinite(delay_ms) and delay_ms >= 0.0):
+            raise ValueError(f"packet delay must be finite and non-negative, got {delay_ms}")
         self._n_packets_in += 1
         if self.status == SessionStatus.DEMOTED:
             self._profile_sizes.append(size)

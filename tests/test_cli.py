@@ -38,7 +38,6 @@ class TestParser:
         assert args.policy == "p.npz"
         assert args.sessions == 12
         assert args.max_batch == 4
-        assert args.workers == 0  # in-process serving by default
         assert args.deadline_ms is None
 
     def test_serve_requires_policy(self):

@@ -3,12 +3,10 @@
 Covers the session lifecycle (admit -> decide -> demote-to-profile ->
 close), the scheduler's batching invariants — a session's decisions are
 bit-identical regardless of which batch they land in, thanks to
-``nn.row_consistent_matmul`` — the checkpoint reconstruction path, the
-sharded serving workers, and equivalence of the serving emulator with the
-training-time environment (``Amoeba.attack``).
+``nn.row_consistent_matmul`` — the checkpoint reconstruction path, and
+equivalence of the serving emulator with the training-time environment
+(``Amoeba.attack``).
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from repro.serve import (
     PolicyServer,
     ServeConfig,
     SessionStatus,
-    ShardedPolicyServer,
     SyntheticWorkload,
     build_policy_from_state,
     run_workload,
@@ -229,16 +226,58 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError):
             server.open_session("dup")
 
-    def test_zero_size_packet_rejected_at_ingestion(self, policy, serve_config):
-        # A zero-size packet would arm a payload-less decision that blows
-        # up mid-flush and disturbs its batch-mates; reject it at submit.
+    @pytest.mark.parametrize(
+        "size, delay_ms, match",
+        [
+            (0.0, 1.0, "non-zero"),
+            (float("nan"), 1.0, "finite"),
+            (float("inf"), 1.0, "finite"),
+            (-float("inf"), 1.0, "finite"),
+            (500.0, float("nan"), "finite"),
+            (500.0, float("inf"), "finite"),
+            (500.0, -1.0, "non-negative"),
+        ],
+        ids=[
+            "zero-size",
+            "nan-size",
+            "inf-size",
+            "neg-inf-size",
+            "nan-delay",
+            "inf-delay",
+            "neg-delay",
+        ],
+    )
+    def test_malformed_packet_rejected_at_ingestion(
+        self, policy, serve_config, size, delay_ms, match
+    ):
+        # A packet no Flow could hold would blow up mid-flush (disturbing
+        # its batch-mates) or at close; reject it at submit instead.
         server = make_server(policy, serve_config)
         sid = server.open_session()
-        with pytest.raises(ValueError, match="non-zero"):
-            server.submit(sid, 0.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            server.submit(sid, size, delay_ms)
         server.submit(sid, 500.0, 0.0)  # session still serviceable
         server.drain()
         assert server.session(sid).n_decisions >= 1
+        assert server.close_session(sid).n_packets_in == 1
+
+    def test_malformed_packet_does_not_stall_batch_mates(
+        self, policy, serve_config, simple_flow
+    ):
+        server = make_server(policy, serve_config)
+        healthy = server.open_session("healthy")
+        noisy = server.open_session("noisy")
+        for size, delay in zip(simple_flow.sizes, simple_flow.delays):
+            server.submit(healthy, size, delay)
+            server.submit(noisy, 500.0, delay)
+            with pytest.raises(ValueError):
+                server.submit(noisy, float("nan"), delay)
+            server.poll()
+        server.drain()
+        report = server.close_session(healthy)
+        assert report.n_packets_in == simple_flow.n_packets
+        assert report.unserved_packets == 0
+        assert report.emitted_bytes >= report.payload_bytes
 
 
 # --------------------------------------------------------------------- #
@@ -519,49 +558,6 @@ class TestCheckpointServing:
         assert groups == {"a": {"x": 1, "y.z": 2}, "b": {"w": 3}}
         with pytest.raises(ValueError):
             split_prefixed_state({"noprefix": 1})
-
-
-# --------------------------------------------------------------------- #
-# Sharded serving workers
-# --------------------------------------------------------------------- #
-@pytest.mark.skipif(sys.platform == "win32", reason="requires POSIX fork")
-class TestShardedServing:
-    def test_sharded_matches_single_process(self, policy, serve_config):
-        workload = SyntheticWorkload.generate(
-            n_sessions=5, arrival_rate_pps=600.0, max_packets=8, rng=33
-        )
-        single = make_server(policy, serve_config)
-        run_workload(single, workload)
-        single_flows = {r.session_id: r.shaped_flow for r in single.reports()}
-
-        def factory(_index):
-            return make_server(policy, serve_config)
-
-        with ShardedPolicyServer(factory, n_workers=2, submit_buffer=8) as sharded:
-            for session_id in workload.flows:
-                sharded.open_session(session_id)
-            for event in workload.events:
-                sharded.submit(event.session_id, event.size, event.delay_ms)
-            sharded.drain()
-            reports = sharded.close_all()
-            stats = sharded.stats()
-        sharded_flows = {r.session_id: r.shaped_flow for r in reports}
-        assert set(sharded_flows) == set(single_flows)
-        for session_id, flow in single_flows.items():
-            assert np.array_equal(flow.sizes, sharded_flows[session_id].sizes)
-            assert np.array_equal(flow.delays, sharded_flows[session_id].delays)
-        merged = summarize_stats(stats)
-        assert merged["decisions"] == summarize_stats(single.stats())["decisions"]
-
-    def test_worker_error_is_surfaced(self, policy, serve_config):
-        def factory(_index):
-            return make_server(policy, serve_config)
-
-        with ShardedPolicyServer(factory, n_workers=1) as sharded:
-            sharded.open_session("a")
-            with pytest.raises(RuntimeError, match="failed"):
-                # Unknown session inside the worker -> KeyError -> error reply.
-                sharded._ask(0, ("close_session", "ghost"))
 
 
 # --------------------------------------------------------------------- #
